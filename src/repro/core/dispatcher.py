@@ -30,7 +30,13 @@ from repro.core.attention_parallel import HeadSplit
 from repro.kvcache.head_block_manager import HeadwiseBlockManager
 from repro.models.spec import ModelSpec
 from repro.perf.attention_model import DeviceAttentionModel
-from repro.solvers.head_dispatch import HeadDispatchProblem, HeadDispatchSolution, solve_greedy, solve_lp
+from repro.solvers.head_dispatch import (
+    HeadDispatchProblem,
+    HeadDispatchSolution,
+    lower_bound,
+    solve_greedy,
+    solve_lp,
+)
 
 
 @dataclass
@@ -152,23 +158,30 @@ class Dispatcher:
             return DispatchDecision()
         contexts = [ctx for _, ctx in requests]
         problem = self._build_problem(contexts)
-        solution = self._solve(problem)
 
         # Light-load locality: the LP is linear and therefore blind to the fixed
         # activation cost (c_i + beta_i) of waking an idle Attention worker, so
         # under light load it over-eagerly offloads.  Compare the LP allocation
         # against the keep-everything-local allocation using an objective that
         # charges that activation cost, and prefer local when it is within
-        # ``local_preference`` of the distributed optimum.
+        # ``local_preference`` of the distributed optimum.  Activation costs are
+        # >= 0, so the solver's corrected objective is at least the problem's
+        # lower bound: when local is within ``local_preference`` of the bound it
+        # wins without solving.
         local = self._local_only_solution(problem)
-        if local is not None and solution.feasible:
-            if self._activation_corrected_objective(problem, local.allocation) <= (
-                self._activation_corrected_objective(problem, solution.allocation)
-                * (1.0 + self.local_preference)
-            ):
+        threshold = 1.0 + self.local_preference
+        if local is None:
+            solution = self._solve(problem)
+        else:
+            local_cost = self._activation_corrected_objective(problem, local.allocation)
+            if local_cost <= lower_bound(problem) * threshold:
                 solution = local
-        elif local is not None and not solution.feasible:
-            solution = local
+            else:
+                solution = self._solve(problem)
+                if not solution.feasible or local_cost <= (
+                    self._activation_corrected_objective(problem, solution.allocation) * threshold
+                ):
+                    solution = local
 
         if not solution.feasible:
             return DispatchDecision(method=solution.method, feasible=False, objective=float("inf"))
@@ -228,21 +241,31 @@ class Dispatcher:
         """Dispatch (or re-dispatch) one request against the current state."""
         return self.dispatch_new([(request_id, context_length)])
 
-    def ideal_objective(self, all_requests: Sequence[Tuple[int, int]]) -> float:
-        """The paper's f*: the min--max Attention time if *all* requests were
-        re-dispatched from scratch, subject only to total cluster capacity."""
-        if not all_requests:
-            return 0.0
-        contexts = [ctx for _, ctx in all_requests]
+    def ideal_problem(self, all_requests: Sequence[Tuple[int, int]]) -> HeadDispatchProblem:
+        """The problem behind f*: every request dispatched onto empty targets,
+        subject only to total cluster capacity."""
         n = len(self.targets)
-        capacities = np.array([t.total_token_heads_capacity for t in self.targets])
-        problem = self._build_problem(
-            contexts,
-            capacities=capacities,
+        return self._build_problem(
+            [ctx for _, ctx in all_requests],
+            capacities=np.array([t.total_token_heads_capacity for t in self.targets]),
             base_heads=np.zeros(n),
             base_cache=np.zeros(n),
         )
-        solution = self._solve(problem)
+
+    def ideal_objective(
+        self,
+        all_requests: Sequence[Tuple[int, int]],
+        problem: Optional[HeadDispatchProblem] = None,
+    ) -> float:
+        """The paper's f*: the min--max Attention time if *all* requests were
+        re-dispatched from scratch, subject only to total cluster capacity.
+
+        ``problem``, when given, is :meth:`ideal_problem` of ``all_requests``
+        already built by the caller.
+        """
+        if not all_requests:
+            return 0.0
+        solution = self._solve(problem if problem is not None else self.ideal_problem(all_requests))
         if not solution.feasible:
             return float("inf")
         return solution.objective

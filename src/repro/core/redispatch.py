@@ -24,6 +24,7 @@ from typing import Dict, Optional, Sequence
 from repro.core.attention_parallel import HeadSplit
 from repro.core.dispatcher import Dispatcher
 from repro.models.spec import ModelSpec
+from repro.solvers.head_dispatch import lower_bound
 
 
 class RedispatchAction(str, enum.Enum):
@@ -69,7 +70,13 @@ class RedispatchPolicy:
         if not splits:
             return RedispatchDecision(RedispatchAction.NONE, reason="no active requests")
         current = self.dispatcher.current_objective()
-        ideal = self.dispatcher.ideal_objective([(rid, contexts[rid]) for rid in splits])
+        requests = [(rid, contexts[rid]) for rid in splits]
+        problem = self.dispatcher.ideal_problem(requests)
+        # f* is at least the problem's lower bound, so a load within theta of
+        # the bound is within theta of f* and needs no solve.
+        if current <= lower_bound(problem) * (1.0 + self.theta):
+            return RedispatchDecision(RedispatchAction.NONE, reason="within threshold")
+        ideal = self.dispatcher.ideal_objective(requests, problem)
         if ideal <= 0 or current <= ideal * (1.0 + self.theta):
             return RedispatchDecision(RedispatchAction.NONE, reason="within threshold")
 

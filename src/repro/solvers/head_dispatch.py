@@ -16,6 +16,25 @@ group size ``r``.
 any transfer latency constant), ``head_cost_i`` the marginal per-head cost
 (including the per-head transfer term for remote workers), and ``cache_cost_i``
 the marginal per-token-head cost.
+
+Lower bound
+-----------
+Callers that only compare a solved objective against a threshold can often
+decide the comparison without solving.  Write ``c_ij = head_cost_i +
+cache_cost_i * l_j``.  For any weights ``mu`` on the simplex (``mu_i >= 0``,
+``sum_i mu_i = 1``) and any ``x >= 0`` with ``sum_i x_ij = H`` (Eq. 7c),
+
+    max_i f_i(x) >= sum_i mu_i f_i(x)
+                  = sum_i mu_i base_i + sum_j sum_i mu_i c_ij x_ij
+                 >= sum_i mu_i base_i + H * sum_j min_i mu_i c_ij,
+
+which is weak duality for the LP with the capacity rows (Eq. 7b) dropped.
+Since every coefficient is non-negative, ``max_i f_i(x) >= max_i base_i``
+too.  :func:`lower_bound` returns the larger of the two, so no feasible
+allocation -- fractional or integral, from either solver -- beats it.  It
+uses ``mu_i`` proportional to ``1 / (head_cost_i + cache_cost_i * mean(l))``,
+the weights that make every device equally attractive for an average
+request; the bound is exact when all devices are identical.
 """
 
 from __future__ import annotations
@@ -124,6 +143,27 @@ class HeadDispatchSolution:
 
     def heads_for_request(self, j: int) -> np.ndarray:
         return self.allocation[:, j]
+
+
+def lower_bound(problem: HeadDispatchProblem) -> float:
+    """A value no allocation satisfying Eq. (7c) can beat (see module docstring).
+
+    Assumes non-negative costs, as every fitted device model guarantees.  The
+    result is lowered by a relative 1e-9 so that float rounding cannot lift it
+    above an objective it ties with.
+    """
+    per_head = problem.head_cost[:, None] + problem.cache_cost[:, None] * problem.contexts[None, :]
+    mean_cost = problem.head_cost + problem.cache_cost * float(problem.contexts.mean())
+    if np.all(mean_cost > 0):
+        mu = 1.0 / mean_cost
+        mu /= mu.sum()
+    else:
+        mu = np.full(problem.n_devices, 1.0 / problem.n_devices)
+    weighted = float(mu @ problem.base_cost) + problem.total_heads * float(
+        (mu[:, None] * per_head).min(axis=0).sum()
+    )
+    bound = max(float(problem.base_cost.max()), weighted)
+    return bound - 1e-9 * abs(bound)
 
 
 def solve_lp(problem: HeadDispatchProblem) -> HeadDispatchSolution:

@@ -69,6 +69,23 @@ def _chaos_flaky(payload):
     return {"value": payload["value"]}
 
 
+def live_group_members(pgid):
+    """Pids of the processes in group ``pgid`` that are still running (Linux
+    ``/proc``; exited-but-unreaped zombies do not count)."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                state, _ppid, pgrp = fh.read().rsplit(")", 1)[1].split()[:3]
+        except OSError:
+            continue
+        if int(pgrp) == pgid and state != "Z":
+            pids.append(int(entry))
+    return pids
+
+
 def ok_task(value, label=None):
     return Task(kind="chaos-ok", payload={"value": value}, label=label or f"ok-{value}")
 
@@ -280,9 +297,11 @@ class TestJournalResume:
             ]
 
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        # Own session, so the sweep and its pool workers die together.
         proc = subprocess.Popen(
             sweep_args(journal, out_resumed), env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         try:
             deadline = time.monotonic() + 120.0
@@ -292,12 +311,16 @@ class TestJournalResume:
                 if proc.poll() is not None:
                     break  # finished before we could kill it; resume still covers replay
                 time.sleep(0.05)
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGKILL)
-            proc.wait(timeout=60)
         finally:
-            if proc.poll() is None:
-                proc.kill()
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=60)
+        deadline = time.monotonic() + 10.0
+        while live_group_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert live_group_members(proc.pid) == []
 
         resumed = subprocess.run(
             sweep_args(journal, out_resumed), env=env, capture_output=True, text=True

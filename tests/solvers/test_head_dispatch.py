@@ -1,10 +1,15 @@
 """Tests for the min-max head-dispatching solvers."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.solvers.head_dispatch import (
     HeadDispatchProblem,
+    lower_bound,
     round_to_groups,
     solve_greedy,
     solve_lp,
@@ -157,3 +162,102 @@ class TestRounding:
         frac = np.array([[32.0], [32.0]])
         rounded = round_to_groups(p, frac)
         assert np.allclose(rounded, frac)
+
+
+# HiGHS meets constraints to its default primal feasibility tolerance, so its
+# reported optimum may undercut the true LP optimum by about that much.
+HIGHS_TOLERANCE = 1e-7
+
+
+def lp_objective_floor(problem, bound):
+    """What ``solve_lp``'s reported LP optimum ``t`` is guaranteed to reach.
+
+    ``solve_lp``'s integrity row of request 0 also covers the ``t`` column
+    (``a_eq[0, j::n_req]`` runs onto index ``n_x``), so HiGHS solves a problem
+    in which request 0 needs only ``H - t`` heads.  Dropping ``t`` heads of
+    request 0 lowers the weighted bound by at most ``t * max_i c_i0``, hence
+    ``t * (1 + max_i c_i0) >= bound``.
+    """
+    return bound / (1.0 + float((problem.head_cost + problem.cache_cost * problem.contexts[0]).max()))
+
+
+@st.composite
+def dispatch_problems(draw):
+    n_dev = draw(st.integers(1, 5))
+    n_req = draw(st.integers(1, 6))
+    group_size = draw(st.sampled_from([1, 2, 4, 8]))
+    total_heads = group_size * draw(st.integers(1, 8))
+    costs = st.one_of(st.just(0.0), st.floats(1e-7, 1e-3))
+    head_cost = np.array(draw(st.lists(costs, min_size=n_dev, max_size=n_dev)))
+    cache_cost = np.array(
+        draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-10, 1e-6)), min_size=n_dev, max_size=n_dev))
+    )
+    if draw(st.booleans()):
+        base_cost = np.zeros(n_dev)
+    else:
+        base_cost = np.array(draw(st.lists(st.floats(0.0, 0.05), min_size=n_dev, max_size=n_dev)))
+    contexts = np.array(draw(st.lists(st.integers(1, 4000), min_size=n_req, max_size=n_req)), dtype=float)
+    demand = float(contexts.sum()) * total_heads
+    if draw(st.booleans()):
+        capacity = np.full(n_dev, 2.0 * demand)
+    else:
+        shares = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n_dev, max_size=n_dev)))
+        capacity = demand * draw(st.floats(0.8, 1.5)) * shares / shares.sum()
+    return HeadDispatchProblem(
+        head_cost=head_cost,
+        cache_cost=cache_cost,
+        base_cost=base_cost,
+        capacity=capacity,
+        contexts=contexts,
+        total_heads=total_heads,
+        group_size=group_size,
+    )
+
+
+class TestLowerBound:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(problem=dispatch_problems())
+    def test_bound_never_exceeds_any_solution(self, problem):
+        bound = lower_bound(problem)
+        assert np.isfinite(bound)
+        lp = solve_lp(problem)
+        if lp.feasible:
+            assert bound <= lp.objective
+            if lp.lp_objective is not None:
+                assert lp_objective_floor(problem, bound) <= lp.lp_objective + HIGHS_TOLERANCE
+                assert lp.lp_objective <= lp.objective + HIGHS_TOLERANCE
+        greedy = solve_greedy(problem)
+        if greedy.feasible:
+            assert bound <= greedy.objective
+
+    def test_zero_cost_device_uses_uniform_weights(self):
+        p = HeadDispatchProblem(
+            head_cost=np.array([0.0, 2e-5]),
+            cache_cost=np.array([0.0, 1e-9]),
+            base_cost=np.array([0.0, 3e-3]),
+            capacity=np.full(2, 1e9),
+            contexts=np.array([100.0, 900.0]),
+            total_heads=64,
+            group_size=8,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = lower_bound(p)
+        assert np.isfinite(bound)
+        assert bound == pytest.approx(3e-3)
+        assert bound <= solve_lp(p).objective
+        assert bound <= solve_greedy(p).objective
+
+    def test_tight_on_identical_devices(self):
+        # Identical devices split every request evenly (two groups each) at
+        # the optimum, which is exactly the weighted bound.
+        p = HeadDispatchProblem(
+            head_cost=np.full(4, 1e-5),
+            cache_cost=np.full(4, 1e-9),
+            base_cost=np.zeros(4),
+            capacity=np.full(4, 1e9),
+            contexts=np.array([500.0, 1000.0, 1500.0, 2000.0]),
+            total_heads=64,
+            group_size=8,
+        )
+        assert lower_bound(p) == pytest.approx(solve_lp(p).objective, rel=1e-6)
