@@ -1,15 +1,19 @@
 #!/usr/bin/env python
 """Perf-trajectory benchmark for the engine and the parallel experiment runner.
 
-Times (a) a fixed single-deployment engine workload, (b) a 4-point sweep grid
-executed serially (``jobs=1``) and through the process pool (``jobs=4``),
-(c) a cache-hit rerun of the same grid plus the clean-path cost of the
-fault-tolerance layer (retries armed, journal fsync'd per point, nothing
-failing), and (d) the fleet-planner search over the checked-in planner demo (wall-clock plus the fraction of candidates the
-greedy pass pruned without simulating), then writes the measurements -- wall
-seconds, events/sec, parallel speedup, cache-hit fraction, and the perf-model
-LRU hit rates -- to ``BENCH_runner.json`` at the repo root.  That file is
-checked in, so the repo's perf trajectory is recorded change over change.
+Times (a) two fixed single-deployment engine workloads -- Hetis, and a
+decode-heavy static-TP run that exercises the baselines' execution unit and
+its KV block ledger -- (b) a 4-point sweep grid executed serially
+(``jobs=1``) and through the process pool (``jobs=4``), (c) a cache-hit rerun
+of the same grid plus the clean-path cost of the fault-tolerance layer
+(retries armed, journal fsync'd per point, nothing failing), and (d) the
+fleet-planner search over the checked-in planner demo (wall-clock plus the
+fraction of candidates the greedy pass pruned without simulating), then writes
+the measurements -- wall seconds, µs per decoded token, events/sec, parallel
+speedup, cache-hit fraction, and the perf-model LRU hit rates -- to
+``BENCH_runner.json`` at the repo root.  That file is checked in, so the
+repo's perf trajectory is recorded change over change.  Only the large-trace
+memory leg runs under tracemalloc; the engine timings do not.
 
 Determinism is the only gate: the parallel and cache-hit rows must be
 bit-identical to the serial rows or the script exits non-zero.  The timing
@@ -66,6 +70,19 @@ def _cache_stats(info) -> dict:
     }
 
 
+def _engine_row(workload: str, wall: float, result) -> dict:
+    tokens = sum(record.output_tokens for record in result.metrics.records)
+    return {
+        "workload": workload,
+        "wall_seconds": round(wall, 4),
+        "decoded_tokens": tokens,
+        "us_per_decoded_token": round(wall * 1e6 / tokens, 2) if tokens else None,
+        "events": result.wall_clock_events,
+        "events_per_second": round(result.wall_clock_events / wall, 1) if wall > 0 else None,
+        "num_finished": result.summary.num_finished,
+    }
+
+
 def bench_engine(quick: bool) -> tuple[dict, dict]:
     """One fixed Hetis deployment end to end; also collects LRU hit rates."""
     num_requests = 32 if quick else 96
@@ -86,14 +103,33 @@ def bench_engine(quick: bool) -> tuple[dict, dict]:
         "attention_transfer_bytes": _cache_stats(attention_transfer_bytes.cache_info()),
         "head_coefficient": _cache_stats(DeviceAttentionModel.head_coefficient.cache_info()),
     }
-    engine = {
-        "workload": f"hetis/llama-13b/sharegpt @ {rate:g} req/s, n={num_requests}",
-        "wall_seconds": round(wall, 4),
-        "events": result.wall_clock_events,
-        "events_per_second": round(result.wall_clock_events / wall, 1) if wall > 0 else None,
-        "num_finished": result.summary.num_finished,
-    }
+    engine = _engine_row(f"hetis/llama-13b/sharegpt @ {rate:g} req/s, n={num_requests}", wall, result)
     return engine, caches
+
+
+def bench_engine_static(quick: bool) -> dict:
+    """Static TP on the paper cluster below its knee: big decode batches.
+
+    Every decoded token goes through ``StaticPipelineUnit``'s KV ledger
+    checks, so this leg tracks the baselines' per-token cost.  Median wall
+    time of three identical runs.
+    """
+    num_requests = 150 if quick else 600
+    rate = 2.75
+    walls = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        result = quick_serve(
+            model="llama-13b",
+            system="static-tp",
+            dataset="sharegpt",
+            request_rate=rate,
+            num_requests=num_requests,
+            seed=0,
+        )
+        walls.append(time.perf_counter() - t0)
+    workload = f"static-tp/llama-13b/sharegpt @ {rate:g} req/s, n={num_requests}, median of 3"
+    return _engine_row(workload, sorted(walls)[1], result)
 
 
 def _large_trace_system():
@@ -381,10 +417,13 @@ def main(argv=None) -> int:
 
     print(f"== engine workload ({'quick' if args.quick else 'full'}) ==")
     engine, caches = bench_engine(args.quick)
-    print(
-        f"  {engine['workload']}: {engine['wall_seconds']}s, "
-        f"{engine['events']} events ({engine['events_per_second']}/s)"
-    )
+    engine_static = bench_engine_static(args.quick)
+    for leg in (engine, engine_static):
+        print(
+            f"  {leg['workload']}: {leg['wall_seconds']}s, "
+            f"{leg['us_per_decoded_token']} µs/decoded token, "
+            f"{leg['events']} events ({leg['events_per_second']}/s)"
+        )
     for name, stats in caches.items():
         print(f"  lru {name}: hit rate {stats['hit_rate']}, size {stats['currsize']}/{stats['maxsize']}")
 
@@ -445,6 +484,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
         },
         "engine": engine,
+        "engine_static_tp": engine_static,
         "lru_caches": caches,
         "sweep": sweep,
         "planner": planner,

@@ -120,7 +120,7 @@ class StaticPipelineUnit(ExecutionUnit):
     mode:
         ``"both"`` runs prefill and decode (HexGen, plain TP); ``"prefill"``
         only prefills and hands requests off; ``"decode"`` only accepts
-        prefilled requests.
+        prefilled requests (and recomputes the prefill of those it preempts).
     """
 
     def __init__(
@@ -148,26 +148,28 @@ class StaticPipelineUnit(ExecutionUnit):
         # Per-device KV share: fraction of a request's total KV bytes stored on
         # each device = (layers on the device / all layers) * its shard fraction.
         total_layers = config.total_layers
-        self._share: Dict[int, float] = {}
+        share: Dict[int, float] = {}
         for stage in config.stages:
             layer_frac = stage.num_layers / total_layers
             for dev, frac in zip(stage.devices, stage.fractions()):
-                self._share[dev.device_id] = self._share.get(dev.device_id, 0.0) + layer_frac * frac
+                share[dev.device_id] = share.get(dev.device_id, 0.0) + layer_frac * frac
+        # Every device gets the same allocate/append/free calls with the same
+        # block size, so per-sequence block counts and used blocks are equal
+        # on all of them at all times: a fit check passes everywhere iff it
+        # passes on the device with the fewest blocks.  That device's manager
+        # is the one ledger; the others only lend their block totals to
+        # ``kv_utilization``.
         kv_capacity = config.kv_capacity_per_device(model)
-        self._managers: Dict[int, PagedBlockManager] = {}
-        self._device_names: Dict[int, str] = {}
-        for dev in config.primary_devices:
-            share = self._share.get(dev.device_id, 0.0)
-            if share <= 0:
-                continue
-            self._managers[dev.device_id] = PagedBlockManager(
+        managers = [
+            (dev.name, PagedBlockManager(
                 capacity_bytes=kv_capacity[dev.device_id],
-                kv_bytes_per_token=model.kv_bytes_per_token() * share,
-            )
-            self._device_names[dev.device_id] = dev.name
-        # Hot-loop view: the manager set is fixed after construction, and the
-        # per-iteration cache checks walk it many times per simulated second.
-        self._manager_list = list(self._managers.values())
+                kv_bytes_per_token=model.kv_bytes_per_token() * share[dev.device_id],
+            ))
+            for dev in config.primary_devices
+            if share.get(dev.device_id, 0.0) > 0
+        ]
+        self._device_blocks = [(name, m.total_blocks) for name, m in managers]
+        self._ledger = min((m for _, m in managers), key=lambda m: m.total_blocks)
 
         # Per-stage (spec, fraction) de-duplication for timing (see
         # StageConfig.unique_shards).
@@ -213,66 +215,33 @@ class StaticPipelineUnit(ExecutionUnit):
 
     # -- cache helpers -------------------------------------------------------------------
 
-    def _can_host(self, context_tokens: int) -> bool:
-        for m in self._manager_list:
-            if not m.can_allocate(context_tokens):
-                return False
-        return True
-
     def _batch_admit_checker(self):
         """A ``can_admit`` callable that accounts for the batch it approves.
 
         The selectors check candidates one by one, but every approved request
         allocates its full context only after selection finishes -- so a
-        per-candidate ``_can_host`` lets two requests through that each fit
-        alone yet not together, and the second allocation blows up.  The
-        returned checker keeps a running block reservation per manager; sums
-        of per-request block needs equal the blocks the later allocations
-        take, so single-candidate decisions are unchanged.
+        per-candidate fit check lets two requests through that each fit alone
+        yet not together, and the second allocation blows up.  The returned
+        checker keeps a running block reservation; sums of per-request block
+        needs equal the blocks the later allocations take, so single-candidate
+        decisions are unchanged.
         """
-        reserved: Dict[int, int] = {}
+        ledger = self._ledger
+        reserved = 0
 
         def can_admit(request: Request) -> bool:
-            tokens = request.context_length
-            needs = []
-            for m in self._manager_list:
-                need = m.blocks_needed(tokens)
-                if reserved.get(id(m), 0) + need > m.free_blocks:
-                    return False
-                needs.append((m, need))
-            for m, need in needs:
-                reserved[id(m)] = reserved.get(id(m), 0) + need
+            nonlocal reserved
+            need = ledger.blocks_needed(request.context_length)
+            if reserved + need > ledger.free_blocks:
+                return False
+            reserved += need
             return True
 
         return can_admit
 
-    def _can_ever_host(self, context_tokens: int) -> bool:
-        """Whether ``context_tokens`` would fit even in a completely empty cache."""
-        for m in self._manager_list:
-            if context_tokens > m.total_blocks * m.block_size:
-                return False
-        return True
-
-    def _allocate(self, request: Request, context_tokens: int) -> None:
-        for manager in self._manager_list:
-            manager.allocate(request.request_id, context_tokens)
-
     def _free(self, request: Request) -> None:
-        for manager in self._manager_list:
-            if manager.has_sequence(request.request_id):
-                manager.free(request.request_id)
-
-    def _can_append_all(self, request: Request) -> bool:
-        rid = request.request_id
-        for m in self._manager_list:
-            if not m.can_append(rid):
-                return False
-        return True
-
-    def _append_all(self, request: Request) -> None:
-        rid = request.request_id
-        for manager in self._manager_list:
-            manager.append(rid)
+        if self._ledger.has_sequence(request.request_id):
+            self._ledger.free(request.request_id)
 
     def _preempt(self, victim: Request) -> None:
         """Drop the victim's cache and send it back for re-prefill (LIFO policy)."""
@@ -290,7 +259,7 @@ class StaticPipelineUnit(ExecutionUnit):
 
         Returns False when the request itself had to be preempted.
         """
-        while not self._can_append_all(request):
+        while not self._ledger.can_append(request.request_id):
             victims = [r for r in self.running if r.status == RequestStatus.DECODING]
             if not victims:
                 return False
@@ -309,6 +278,7 @@ class StaticPipelineUnit(ExecutionUnit):
         return bool(self.running or self.waiting or self.pending_prefilled)
 
     def next_iteration(self, now: float) -> Optional[Iteration]:
+        ledger = self._ledger
         # 1. Decode step for every running request that still fits.
         decode_requests: List[Request] = []
         for req in list(self.running):
@@ -323,13 +293,13 @@ class StaticPipelineUnit(ExecutionUnit):
             candidate = self.pending_prefilled[0]
             if len(self.running) >= self.policy.limits.max_running_requests:
                 break
-            if not self._can_host(candidate.context_length):
+            if not ledger.can_allocate(candidate.context_length):
                 # A preempted victim can sit ahead of an in-flight partial
                 # prefill, so scan the queue for block holders, not just the head.
                 holds_blocks = any(
                     r.status == RequestStatus.PREFILLING for r in self.waiting
                 )
-                if not self._can_ever_host(candidate.context_length) or (
+                if candidate.context_length > ledger.total_blocks * ledger.block_size or (
                     not self.running and not holds_blocks
                 ):
                     # Shed instead of deadlocking: the hand-off exceeds the
@@ -342,18 +312,20 @@ class StaticPipelineUnit(ExecutionUnit):
                     continue
                 break
             self.pending_prefilled.popleft()
-            self._allocate(candidate, candidate.context_length)
+            ledger.allocate(candidate.request_id, candidate.context_length)
             candidate.status = RequestStatus.DECODING
             self.running.append(candidate)
             decode_requests.append(candidate)
 
         # 3. Admit new prefill work -- whole prefills, or chunks of them when
         #    chunked prefill is enabled (a partially-prefilled request stays at
-        #    the head of the waiting queue between chunks).
+        #    the head of the waiting queue between chunks).  A decode-only unit
+        #    gets no fresh requests, but recomputes its own preempted ones
+        #    here through the same path.
         prefill_requests: List[Request] = []
         partial_prefills: List[PrefillChunk] = []
         prefill_chunks: List[PrefillChunk] = []
-        if self.mode in ("both", "prefill"):
+        if self.mode in ("both", "prefill") or self.waiting:
             prefill_chunks = self.policy.select_prefill_chunks(
                 self.waiting,
                 num_running=len(self.running),
@@ -364,7 +336,7 @@ class StaticPipelineUnit(ExecutionUnit):
                 if chunk.is_first:
                     # The full-context KV allocation happens with the first
                     # chunk; later chunks fill blocks already reserved.
-                    self._allocate(req, req.prefill_target)
+                    ledger.allocate(req.request_id, req.prefill_target)
                     req.start_prefill()
                 if chunk.completes_prefill:
                     self.running.append(req)
@@ -377,7 +349,7 @@ class StaticPipelineUnit(ExecutionUnit):
                 and self.waiting
                 and not self.running
                 and self.waiting[0].prefilled_tokens == 0
-                and not self._can_host(self.waiting[0].context_length)
+                and not ledger.can_allocate(self.waiting[0].context_length)
             ):
                 # A request that can never fit alone would deadlock the unit.
                 self.dropped.append(self.waiting.popleft())
@@ -484,7 +456,7 @@ class StaticPipelineUnit(ExecutionUnit):
             # preempting LIFO victims) before committing this request's token.
             if not self._ensure_appendable(req) or req not in self.running:
                 continue
-            self._append_all(req)
+            self._ledger.append(req.request_id)
             if req.prefill_completion_time is None:
                 # Disaggregated hand-off: the first token is only produced once
                 # the migrated cache lands on the decode workers, so the
@@ -524,10 +496,8 @@ class StaticPipelineUnit(ExecutionUnit):
     # -- introspection ---------------------------------------------------------------------------
 
     def kv_utilization(self) -> Dict[str, float]:
-        return {
-            self._device_names[dev_id]: manager.stats().utilization
-            for dev_id, manager in self._managers.items()
-        }
+        used = self._ledger.used_blocks
+        return {name: used / total if total else 0.0 for name, total in self._device_blocks}
 
     def available_kv_bytes(self) -> float:
         """Effective KV capacity: what the bottleneck device lets the unit host.
@@ -537,11 +507,10 @@ class StaticPipelineUnit(ExecutionUnit):
         limited by the device whose per-token share exhausts first -- this is
         the computation/memory-imbalance waste the paper illustrates in
         Fig. 1(b) and measures in Fig. 11.  The value reported here is that
-        hostable token count priced at the full per-token KV footprint.
+        hostable token count (the ledger's) priced at the full per-token KV
+        footprint.
         """
-        if not self._managers:
-            return 0.0
-        hostable_tokens = min(m.total_blocks * m.block_size for m in self._managers.values())
+        hostable_tokens = self._ledger.total_blocks * self._ledger.block_size
         return float(hostable_tokens * self.model.kv_bytes_per_token())
 
     @property

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import build_cluster, build_system, run_system
 from repro.baselines.splitwise import build_splitwise_system
 from repro.hardware.cluster import ClusterBuilder, paper_cluster
 from repro.models.spec import get_model_spec
@@ -65,3 +66,14 @@ class TestServing:
         for record in result.metrics.records:
             migration_floor = record.prompt_tokens * model.kv_bytes_per_token() / lan_bw
             assert record.ttft > migration_floor
+
+    def test_decode_unit_recomputes_its_preempted_requests(self):
+        """Regression: the decode-only unit used to park preempted requests on
+        a waiting queue it never served, so they neither finished nor dropped."""
+        system = build_system("splitwise", build_cluster("paper"), "llama-13b", prefill_chunk_tokens=512)
+        result = run_system(system, generate_trace("longbench", 2.0, 60, seed=1))
+        summary = result.summary
+        assert not result.truncated
+        assert summary.num_finished + summary.num_rejected + result.num_dropped == 60
+        assert summary.total_preemptions >= 1
+        assert not system.decode_unit.has_work()

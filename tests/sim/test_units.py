@@ -283,10 +283,13 @@ class TestChunkedPrefill:
 
 
 class TestHandoffShed:
+    def hostable_tokens(self, unit):
+        # Tokens an empty cache on the unit can hold (its bottleneck device's).
+        return round(unit.available_kv_bytes() / unit.model.kv_bytes_per_token())
+
     def oversized(self, req_id, unit):
         # A context no empty cache on this unit could ever hold.
-        managers = unit._manager_list
-        max_tokens = min(m.total_blocks * m.block_size for m in managers)
+        max_tokens = self.hostable_tokens(unit)
         return make_request(req_id, prompt=max_tokens + 1024, output=4)
 
     def prefilled(self, req):
@@ -322,8 +325,7 @@ class TestHandoffShed:
         unit = make_unit(mode="decode")
         # Fill the unit with a running request, then queue a hand-off that fits
         # an empty cache but not the current one: it must wait, not shed.
-        managers = unit._manager_list
-        max_tokens = min(m.total_blocks * m.block_size for m in managers)
+        max_tokens = self.hostable_tokens(unit)
         hog = self.prefilled(make_request(0, prompt=int(max_tokens * 0.9), output=50))
         unit.enqueue_prefilled(hog, 0.0)
         it = unit.next_iteration(0.0)
