@@ -9,9 +9,9 @@ of the same grid plus the clean-path cost of the fault-tolerance layer
 (retries armed, journal fsync'd per point, nothing failing), and (d) the
 fleet-planner search over the checked-in planner demo (wall-clock plus the
 fraction of candidates the greedy pass pruned without simulating), then writes
-the measurements -- wall seconds, µs per decoded token, events/sec, parallel
-speedup, cache-hit fraction, and the perf-model LRU hit rates -- to
-``BENCH_runner.json`` at the repo root.  That file is checked in, so the
+the measurements -- wall seconds, µs per decoded token and per iteration,
+events/sec, parallel speedup, cache-hit fraction, and the perf-model LRU hit
+rates -- to ``BENCH_runner.json`` at the repo root.  That file is checked in, so the
 repo's perf trajectory is recorded change over change.  Only the large-trace
 memory leg runs under tracemalloc; the engine timings do not.
 
@@ -43,8 +43,8 @@ try:  # runnable both as `python scripts/bench.py` and with PYTHONPATH=src set
 except ImportError:  # pragma: no cover - direct invocation convenience
     sys.path.insert(0, str(ROOT / "src"))
 
-from repro.api import build_cluster, build_system, quick_serve, run_system
-from repro.config import DeploymentSpec, MetricsSpec, expand_grid
+from repro.api import build, build_cluster, build_system, run_system
+from repro.config import DeploymentSpec, MetricsSpec, SystemSpec, WorkloadSpec, expand_grid
 from repro.experiments.runner import SweepRunner, summary_row
 from repro.kvcache.migration import ReplicaMigrationPlanner, plan_head_migration
 from repro.models.spec import get_model_spec
@@ -70,13 +70,41 @@ def _cache_stats(info) -> dict:
     }
 
 
-def _engine_row(workload: str, wall: float, result) -> dict:
+def _serve_counting_iterations(system: str, rate: float, num_requests: int):
+    """Build and run one engine-leg deployment: llama-13b, paper cluster, ShareGPT, seed 0.
+
+    Returns the result and the number of iterations the units completed,
+    counted by wrapping each unit's ``complete_iteration``.
+    """
+    prepared = build(
+        DeploymentSpec(
+            model="llama-13b",
+            system=SystemSpec(name=system),
+            workload=WorkloadSpec(
+                dataset="sharegpt", request_rate=rate, num_requests=num_requests, seed=0
+            ),
+        )
+    )
+    iterations = 0
+    for unit in prepared.system.units:
+        def counted(iteration, now, _complete=unit.complete_iteration):
+            nonlocal iterations
+            iterations += 1
+            return _complete(iteration, now)
+
+        unit.complete_iteration = counted
+    return prepared.run(), iterations
+
+
+def _engine_row(workload: str, wall: float, result, iterations: int) -> dict:
     tokens = sum(record.output_tokens for record in result.metrics.records)
     return {
         "workload": workload,
         "wall_seconds": round(wall, 4),
         "decoded_tokens": tokens,
         "us_per_decoded_token": round(wall * 1e6 / tokens, 2) if tokens else None,
+        "iterations": iterations,
+        "us_per_iteration": round(wall * 1e6 / iterations, 2) if iterations else None,
         "events": result.wall_clock_events,
         "events_per_second": round(result.wall_clock_events / wall, 1) if wall > 0 else None,
         "num_finished": result.summary.num_finished,
@@ -90,20 +118,15 @@ def bench_engine(quick: bool) -> tuple[dict, dict]:
     attention_transfer_bytes.cache_clear()
     DeviceAttentionModel.head_coefficient.cache_clear()
     t0 = time.perf_counter()
-    result = quick_serve(
-        model="llama-13b",
-        system="hetis",
-        dataset="sharegpt",
-        request_rate=rate,
-        num_requests=num_requests,
-        seed=0,
-    )
+    result, iterations = _serve_counting_iterations("hetis", rate, num_requests)
     wall = time.perf_counter() - t0
     caches = {
         "attention_transfer_bytes": _cache_stats(attention_transfer_bytes.cache_info()),
         "head_coefficient": _cache_stats(DeviceAttentionModel.head_coefficient.cache_info()),
     }
-    engine = _engine_row(f"hetis/llama-13b/sharegpt @ {rate:g} req/s, n={num_requests}", wall, result)
+    engine = _engine_row(
+        f"hetis/llama-13b/sharegpt @ {rate:g} req/s, n={num_requests}", wall, result, iterations
+    )
     return engine, caches
 
 
@@ -119,17 +142,10 @@ def bench_engine_static(quick: bool) -> dict:
     walls = []
     for _ in range(3):
         t0 = time.perf_counter()
-        result = quick_serve(
-            model="llama-13b",
-            system="static-tp",
-            dataset="sharegpt",
-            request_rate=rate,
-            num_requests=num_requests,
-            seed=0,
-        )
+        result, iterations = _serve_counting_iterations("static-tp", rate, num_requests)
         walls.append(time.perf_counter() - t0)
     workload = f"static-tp/llama-13b/sharegpt @ {rate:g} req/s, n={num_requests}, median of 3"
-    return _engine_row(workload, sorted(walls)[1], result)
+    return _engine_row(workload, sorted(walls)[1], result, iterations)
 
 
 def _large_trace_system():

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Chunking-off metric-snapshot bit-identity check against a base revision.
+# Metric-snapshot bit-identity check against a base revision.
 #
 #   scripts/check_snapshot.sh [base-ref]     # default: origin/main, then main
 #
-# Generates scripts/metrics_snapshot.py output twice on the SAME machine --
-# once from a clean worktree of the base revision, once from the current
-# tree -- and diffs the JSON byte-for-byte.  Running both sides locally keeps
-# the comparison robust to BLAS/platform differences; only a code change can
-# make it fail.  Chunked prefill is off by default, so this guards the
-# "existing metric snapshots stay bit-identical unless opted in" contract.
+# Runs the working tree's scripts/metrics_snapshot.py twice on the SAME
+# machine -- once against the src/ tree of a clean worktree of the base
+# revision, once against the current src/ -- and diffs the JSON
+# byte-for-byte.  Running both sides locally keeps the comparison robust to
+# BLAS/platform differences; only a simulator change can make it fail, and a
+# scenario added to the script covers the base revision too.  The scenarios
+# span all four systems with chunked prefill off (the default) and on.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,7 +34,7 @@ trap 'git worktree remove --force "$WORKDIR/base" 2>/dev/null || true; rm -rf "$
 
 echo "== snapshot @ $BASE_REF =="
 git worktree add --detach "$WORKDIR/base" "$BASE_REF" >/dev/null
-(cd "$WORKDIR/base" && PYTHONPATH=src python scripts/metrics_snapshot.py "$WORKDIR/base.json")
+PYTHONPATH="$WORKDIR/base/src" python scripts/metrics_snapshot.py "$WORKDIR/base.json"
 
 echo "== snapshot @ working tree =="
 PYTHONPATH=src python scripts/metrics_snapshot.py "$WORKDIR/head.json"
@@ -41,7 +42,7 @@ PYTHONPATH=src python scripts/metrics_snapshot.py "$WORKDIR/head.json"
 if cmp -s "$WORKDIR/base.json" "$WORKDIR/head.json"; then
     echo "snapshot check: bit-identical to $BASE_REF"
 else
-    echo "snapshot check FAILED: metrics diverge from $BASE_REF (chunking off)" >&2
+    echo "snapshot check FAILED: metrics diverge from $BASE_REF" >&2
     diff "$WORKDIR/base.json" "$WORKDIR/head.json" | head -40 >&2 || true
     exit 1
 fi

@@ -15,21 +15,26 @@ import sys
 from repro.api import quick_serve
 
 SCENARIOS = [
-    # (system, model, dataset, rate, num_requests)
-    ("hetis", "llama-13b", "sharegpt", 5.0, 48),
-    ("hexgen", "llama-13b", "sharegpt", 5.0, 48),
-    ("splitwise", "llama-13b", "sharegpt", 5.0, 48),
-    ("static-tp", "llama-13b", "sharegpt", 5.0, 48),
-    ("hetis", "llama-13b", "humaneval", 30.0, 48),
-    ("hexgen", "llama-13b", "longbench", 6.0, 32),
-    ("splitwise", "llama-13b", "longbench", 6.0, 32),
-    ("hetis", "opt-30b", "sharegpt", 4.0, 32),
+    # (system, model, dataset, rate, num_requests, prefill_chunk_tokens)
+    ("hetis", "llama-13b", "sharegpt", 5.0, 48, None),
+    ("hexgen", "llama-13b", "sharegpt", 5.0, 48, None),
+    ("splitwise", "llama-13b", "sharegpt", 5.0, 48, None),
+    ("static-tp", "llama-13b", "sharegpt", 5.0, 48, None),
+    ("hetis", "llama-13b", "humaneval", 30.0, 48, None),
+    ("hexgen", "llama-13b", "longbench", 6.0, 32, None),
+    ("splitwise", "llama-13b", "longbench", 6.0, 32, None),
+    ("hetis", "opt-30b", "sharegpt", 4.0, 32, None),
+    # Chunked prefill: iterations price cached-context prefill slices.
+    ("hetis", "llama2-7b", "longbench", 1.5, 32, 512),
+    ("hexgen", "llama2-7b", "longbench", 1.5, 32, 512),
+    ("splitwise", "llama2-7b", "longbench", 1.5, 32, 512),
+    ("static-tp", "llama2-7b", "longbench", 1.5, 32, 512),
 ]
 
 
 def snapshot() -> dict:
     out = {}
-    for system, model, dataset, rate, n in SCENARIOS:
+    for system, model, dataset, rate, n, chunk in SCENARIOS:
         result = quick_serve(
             model=model,
             system=system,
@@ -37,10 +42,14 @@ def snapshot() -> dict:
             request_rate=rate,
             num_requests=n,
             seed=0,
+            prefill_chunk_tokens=chunk,
         )
         s = result.summary
         records = sorted(result.metrics.records, key=lambda r: r.request_id)
-        out[f"{system}/{model}/{dataset}/r{rate:g}/n{n}"] = {
+        name = f"{system}/{model}/{dataset}/r{rate:g}/n{n}"
+        if chunk is not None:
+            name += f"/chunk{chunk}"
+        out[name] = {
             "mean_normalized_latency": s.mean_normalized_latency,
             "p95_normalized_latency": s.p95_normalized_latency,
             "p95_ttft": s.p95_ttft,

@@ -49,11 +49,15 @@ from repro.perf.roofline import RooflineExecutor
 from repro.sim.iteration import Iteration, IterationOutcome
 from repro.sim.request import Request, RequestStatus
 from repro.sim.scheduler import ContinuousBatchingPolicy, PrefillChunk, SchedulerLimits
-from repro.sim.units import ExecutionUnit
+from repro.sim.units import ExecutionUnit, TokenCountPricing
 from repro.utils.rng import make_rng
 
 PRIMARY_TARGET_ID = -1
 """Pseudo device id of the aggregate Primary dispatch target."""
+
+HeadHistogram = Dict[int, List[int]]
+"""Per-request head count h on one target -> [summed context, request count]
+of the decode requests holding h heads there."""
 
 
 class HetisInstanceUnit(ExecutionUnit):
@@ -101,10 +105,15 @@ class HetisInstanceUnit(ExecutionUnit):
         for w in config.attention_workers:
             self._device_host[w.device_id] = w.host_id
 
-        # Distinct (spec, fraction) pairs per stage: symmetric TP shards on
-        # identical GPUs time out identically, so the per-stage max only needs
-        # one evaluation per distinct pair (see StageConfig.unique_shards).
-        self._stage_unique_shards = [stage.unique_shards() for stage in config.stages]
+        # Token-count-only iteration terms, memoized per token count; its
+        # per-stage distinct (spec, fraction) shards also price Attention.
+        self._pricing = TokenCountPricing(config, model, self.executor, self.cost_model, self.comm)
+        # Distinct Primary shard fractions, and per retained head count h each
+        # fraction's (heads, KV-head groups) for ``max(0, round(h * fraction))``.
+        self._primary_fracs = list(
+            dict.fromkeys(frac for shards in self._pricing.shard_heads for _, frac, _ in shards)
+        )
+        self._primary_shard_heads: Dict[int, List[Tuple[int, int]]] = {}
         # Per-(worker, total offloaded heads) scatter/gather time memo: head
         # counts repeat across decode iterations while the underlying p2p cost
         # is a pure function of (bytes, link).
@@ -138,11 +147,12 @@ class HetisInstanceUnit(ExecutionUnit):
 
         # -- request state ------------------------------------------------------------
         self.waiting: Deque[Request] = deque()
-        self.running: List[Request] = []
+        # Insertion-ordered sets: O(1) membership and removal.
+        self.running: Dict[Request, None] = {}
         self.dropped: List[Request] = []
         self._splits: Dict[int, HeadSplit] = {}
         self._requests: Dict[int, Request] = {}
-        self._admission_order: List[int] = []
+        self._admission_order: Dict[int, None] = {}
         self._pending_penalty = 0.0
         self._iterations = 0
         self.num_redispatches = 0
@@ -162,19 +172,18 @@ class HetisInstanceUnit(ExecutionUnit):
         models: Dict[int, DeviceAttentionModel] = {}
 
         def fit(compute_fn) -> Tuple[List[float], List[float], List[float]]:
+            # Each grid point is n_req identical requests of per_req heads.
             hs, gs, ts = [], [], []
             for h in heads_grid:
                 for ctx in ctx_grid:
                     n_req = max(1, int(h) // max(1, self.model.num_heads // 2))
                     per_req = max(self.model.gqa_ratio, int(h) // n_req)
-                    heads = [per_req] * n_req
-                    contexts = [int(ctx)] * n_req
-                    hs.append(float(sum(heads)))
-                    gs.append(float(sum(hh * cc for hh, cc in zip(heads, contexts))))
-                    ts.append(compute_fn(contexts, heads))
+                    hs.append(float(per_req * n_req))
+                    gs.append(float(per_req * int(ctx) * n_req))
+                    ts.append(compute_fn({per_req: [int(ctx) * n_req, n_req]}))
             return hs, gs, ts
 
-        primary_fit = fit(self._primary_decode_attention_time)
+        primary_fit = fit(self._primary_attention_time)
         primary_compute = fit_linear_attention_model(*primary_fit)
         models[PRIMARY_TARGET_ID] = DeviceAttentionModel(
             device_id=PRIMARY_TARGET_ID,
@@ -184,7 +193,9 @@ class HetisInstanceUnit(ExecutionUnit):
             is_remote=False,
         )
         for worker in self.config.attention_workers:
-            worker_fit = fit(lambda ctxs, hds, w=worker: self._worker_decode_attention_time(w, ctxs, hds))
+            worker_fit = fit(
+                lambda by_heads, w=worker: self._worker_attention_time(w, self._head_sums(by_heads))
+            )
             compute = fit_linear_attention_model(*worker_fit)
             # The transfer model is expressed over the *total* per-iteration byte
             # volume, but the underlying traffic is one scatter/gather per layer,
@@ -216,36 +227,58 @@ class HetisInstanceUnit(ExecutionUnit):
 
     # --------------------------------------------------------------- ground truth --
 
-    def _primary_decode_attention_time(
-        self, contexts: Sequence[int], heads_per_req: Sequence[int]
-    ) -> float:
-        """Decode Attention time per iteration for heads retained on the Primary."""
-        if not contexts or sum(heads_per_req) == 0:
+    def _primary_attention_time(self, by_heads: HeadHistogram) -> float:
+        """Decode Attention time per iteration for heads retained on the Primary.
+
+        A request keeping ``h`` heads on the Primary runs
+        ``max(0, round(h * fraction))`` of them on each TP shard; the split is
+        cached per ``h``, and each distinct fraction is priced once from its
+        batch sums.
+        """
+        if not by_heads:
             return 0.0
+        gqa = self.model.gqa_ratio
+        sums = [[0, 0, 0, 0] for _ in self._primary_fracs]
+        for heads, (ctx_sum, count) in by_heads.items():
+            shard_heads = self._primary_shard_heads.get(heads)
+            if shard_heads is None:
+                shard_heads = self._primary_shard_heads[heads] = [
+                    (dev_heads, -(-dev_heads // gqa))
+                    for dev_heads in (max(0, int(round(heads * frac))) for frac in self._primary_fracs)
+                ]
+            for acc, (dev_heads, groups) in zip(sums, shard_heads):
+                if dev_heads > 0:
+                    acc[0] += dev_heads * ctx_sum
+                    acc[1] += groups * ctx_sum
+                    acc[2] += dev_heads * count
+                    acc[3] += count
+        costs = {
+            frac: self.cost_model.decode_attention_cost_from_sums(*acc)
+            for frac, acc in zip(self._primary_fracs, sums)
+        }
         total = 0.0
-        frac_heads: Dict[float, List[int]] = {}
-        for stage_idx, stage in enumerate(self.config.stages):
+        for stage, shards in zip(self.config.stages, self._pricing.shard_heads):
             per_layer = 0.0
-            for spec, frac in self._stage_unique_shards[stage_idx]:
-                dev_heads = frac_heads.get(frac)
-                if dev_heads is None:
-                    dev_heads = [max(0, int(round(h * frac))) for h in heads_per_req]
-                    frac_heads[frac] = dev_heads
-                per_layer = max(
-                    per_layer,
-                    self.executor.decode_attention_time(spec, contexts, dev_heads),
-                )
+            for spec, frac, _heads in shards:
+                per_layer = max(per_layer, self.executor.attention_module_time(costs[frac], spec))
             total += stage.num_layers * per_layer
         return total
 
-    def _worker_decode_attention_time(
-        self, worker: GPUDevice, contexts: Sequence[int], heads_per_req: Sequence[int]
-    ) -> float:
+    def _head_sums(self, by_heads: HeadHistogram) -> Tuple[int, int, int, int]:
+        """``(sum(h * ctx), sum(ceil(h / r) * ctx), sum(h), n)`` of a target's requests."""
+        gqa = self.model.gqa_ratio
+        head_ctx = group_ctx = heads_total = n = 0
+        for heads, (ctx_sum, count) in by_heads.items():
+            head_ctx += heads * ctx_sum
+            group_ctx += -(-heads // gqa) * ctx_sum
+            heads_total += heads * count
+            n += count
+        return head_ctx, group_ctx, heads_total, n
+
+    def _worker_attention_time(self, worker: GPUDevice, sums: Tuple[int, int, int, int]) -> float:
         """Decode Attention time per iteration for heads offloaded to ``worker``."""
-        if not contexts or sum(heads_per_req) == 0:
-            return 0.0
-        per_layer = self.executor.decode_attention_time(worker.spec, contexts, heads_per_req)
-        return per_layer * self.model.num_layers
+        cost = self.cost_model.decode_attention_cost_from_sums(*sums)
+        return self.executor.attention_module_time(cost, worker.spec) * self.model.num_layers
 
     # ---------------------------------------------------------------- manager access --
 
@@ -376,9 +409,9 @@ class HetisInstanceUnit(ExecutionUnit):
                 req.start_prefill()
                 self._splits[req.request_id] = split
                 self._requests[req.request_id] = req
-                self._admission_order.append(req.request_id)
+                self._admission_order[req.request_id] = None
             if chunk.completes_prefill:
-                self.running.append(req)
+                self.running[req] = None
             admitted.append(chunk)
         return admitted
 
@@ -413,10 +446,10 @@ class HetisInstanceUnit(ExecutionUnit):
         contexts = {rid: self._requests[rid].context_length for rid in self._splits}
         if not self.enable_redispatch:
             # Plain LIFO over all running requests (the Fig.-15a baseline).
-            victims = [rid for rid in self._admission_order if rid in self._splits]
-            if not victims:
+            victim = next((rid for rid in reversed(self._admission_order) if rid in self._splits), None)
+            if victim is None:
                 return False
-            self._preempt(self._requests[victims[-1]])
+            self._preempt(self._requests[victim])
             return True
         decision = self.redispatcher.handle_cache_exhaustion(
             target_id, self._splits, contexts, self._admission_order
@@ -458,10 +491,8 @@ class HetisInstanceUnit(ExecutionUnit):
     def _preempt(self, request: Request) -> None:
         self._free_request(request)
         self._splits.pop(request.request_id, None)
-        if request.request_id in self._admission_order:
-            self._admission_order.remove(request.request_id)
-        if request in self.running:
-            self.running.remove(request)
+        self._admission_order.pop(request.request_id, None)
+        self.running.pop(request, None)
         request.preempt()
         if request not in self.waiting:
             # A partially-prefilled victim is still sitting at the head of the
@@ -474,44 +505,22 @@ class HetisInstanceUnit(ExecutionUnit):
         self, batch: BatchProfile, decode_requests: Sequence[Request]
     ) -> Tuple[float, Dict[str, float]]:
         """Iteration duration with dynamic-Attention-parallel decode Attention."""
-        tokens = batch.total_tokens
-        n_stages = len(self.config.stages)
-
         # Dense pipeline (QKV + projection + MLP + prefill attention + TP comm).
-        stage_totals: List[float] = []
-        max_mlp = 0.0
-        for stage_idx, stage in enumerate(self.config.stages):
-            per_layer_dense = 0.0
-            per_layer_mlp = 0.0
-            per_layer_prefill_attn = 0.0
-            for spec, frac in self._stage_unique_shards[stage_idx]:
-                heads = max(self.model.gqa_ratio, int(round(self.model.num_heads * frac)))
-                dense = self.cost_model.dense_cost(batch).scaled(frac)
-                mlp = self.cost_model.mlp_cost(tokens).scaled(frac)
-                pre_attn = self.cost_model.prefill_attention_batch_cost(batch, heads)
-                per_layer_dense = max(per_layer_dense, self.executor.module_time(dense, spec, tokens))
-                per_layer_mlp = max(per_layer_mlp, self.executor.module_time(mlp, spec, tokens))
-                per_layer_prefill_attn = max(
-                    per_layer_prefill_attn, self.executor.attention_module_time(pre_attn, spec)
-                )
-            comm = 0.0
-            if stage.tp_degree > 1:
-                comm = 2.0 * self.comm.tp_allreduce_time(stage.devices, tokens)
-            stage_totals.append(stage.num_layers * (per_layer_dense + per_layer_prefill_attn + comm))
-            max_mlp = max(max_mlp, stage.num_layers * per_layer_mlp)
-
-        last_stage = self.config.stages[-1]
-        lm_head = self.executor.lm_head_time(
-            last_stage.devices[0].spec, tokens, tp_degree=last_stage.tp_degree
-        )
-        handoff = 0.0
-        for prev, nxt in zip(self.config.stages[:-1], self.config.stages[1:]):
-            handoff += self.comm.pipeline_handoff_time(prev.devices[-1], nxt.devices[0], tokens)
+        stages, mlp_time, lm_head, handoff = self._pricing.terms(batch)
+        has_prefill = bool(batch.prefill_lengths)
+        total = 0.0
+        for (num_layers, dense_t, comm_t), shards in zip(stages, self._pricing.shard_heads):
+            prefill_attn = 0.0
+            if has_prefill:
+                for spec, _frac, heads in shards:
+                    pre_attn = self.cost_model.prefill_attention_batch_cost(batch, heads)
+                    prefill_attn = max(prefill_attn, self.executor.attention_module_time(pre_attn, spec))
+            total += num_layers * (dense_t + prefill_attn + comm_t)
 
         decode_attn = self._decode_attention_time(decode_requests)
-        duration = sum(stage_totals) + lm_head + handoff + decode_attn
+        duration = total + lm_head + handoff + decode_attn
         module_times = {
-            "mlp": max_mlp * n_stages,
+            "mlp": mlp_time,
             "attention": decode_attn,
             "iteration": duration,
         }
@@ -521,21 +530,31 @@ class HetisInstanceUnit(ExecutionUnit):
         """Max over dispatch targets of their decode-Attention + transfer time."""
         if not decode_requests:
             return 0.0
-        contexts = [r.context_length for r in decode_requests]
-        # Primary retained heads.
-        primary_heads = [
-            self._splits[r.request_id].heads_on(PRIMARY_TARGET_ID) for r in decode_requests
-        ]
-        times = [self._primary_decode_attention_time(contexts, primary_heads)]
+        # One pass over the batch: per target, each head count's summed context.
+        by_target: Dict[int, HeadHistogram] = {}
+        for req in decode_requests:
+            ctx = req.context_length
+            for target_id, heads in self._splits[req.request_id].allocation.items():
+                if heads <= 0:
+                    continue
+                by_heads = by_target.get(target_id)
+                if by_heads is None:
+                    by_heads = by_target[target_id] = {}
+                entry = by_heads.get(heads)
+                if entry is None:
+                    by_heads[heads] = [ctx, 1]
+                else:
+                    entry[0] += ctx
+                    entry[1] += 1
+        times = [self._primary_attention_time(by_target.get(PRIMARY_TARGET_ID, {}))]
         for worker in self.config.attention_workers:
-            heads = [
-                self._splits[r.request_id].heads_on(worker.device_id) for r in decode_requests
-            ]
-            total_heads = sum(heads)
-            if total_heads == 0:
+            by_heads = by_target.get(worker.device_id)
+            if by_heads is None:
                 continue
-            compute = self._worker_decode_attention_time(worker, contexts, heads)
+            sums = self._head_sums(by_heads)
+            compute = self._worker_attention_time(worker, sums)
             # One per-head scatter/gather per layer (matching the fitted model).
+            total_heads = sums[2]
             transfer_key = (worker.device_id, total_heads)
             transfer = self._worker_transfer_cache.get(transfer_key)
             if transfer is None:
@@ -591,10 +610,8 @@ class HetisInstanceUnit(ExecutionUnit):
         self._free_request(request)
         self._splits.pop(request.request_id, None)
         self._requests.pop(request.request_id, None)
-        if request.request_id in self._admission_order:
-            self._admission_order.remove(request.request_id)
-        if request in self.running:
-            self.running.remove(request)
+        self._admission_order.pop(request.request_id, None)
+        self.running.pop(request, None)
 
     def _check_compute_balance(self) -> None:
         contexts = {rid: self._requests[rid].context_length for rid in self._splits}

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterable, Optional
 
 from repro.core.attention_parallel import HeadSplit
 from repro.core.dispatcher import Dispatcher
@@ -137,7 +137,7 @@ class RedispatchPolicy:
         exhausted_target_id: int,
         splits: Dict[int, HeadSplit],
         contexts: Dict[int, int],
-        admission_order: Sequence[int],
+        admission_order: Iterable[int],
     ) -> RedispatchDecision:
         """React to a device running out of cache space.
 

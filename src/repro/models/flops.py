@@ -337,36 +337,56 @@ class LayerCostModel:
         ``heads_per_request`` is how the head-wise dispatcher expresses a
         device's share of each request; ``None`` means the device computes all
         heads of every request (the non-parallelized baseline behaviour).
-        PagedAttention batches requests into a single kernel launch, so the
-        kernel count does not grow with the batch.
+        Requests with no heads or no context do no work.  The batch reduces
+        to four integer sums priced by :meth:`decode_attention_cost_from_sums`.
         """
         if heads_per_request is not None and len(heads_per_request) != len(contexts):
             raise ValueError("heads_per_request must align with contexts")
-        # Scalar accumulation in request order: identical floating-point result
-        # to summing per-request :class:`ModuleCost` records, without the
-        # object churn.  This is the hottest cost-model path in the simulator
-        # (one evaluation per device per iteration).
-        m = self.model
-        full_heads = m.num_heads
-        head_dim = m.head_dim
-        gqa = m.gqa_ratio
-        dtype_bytes = m.dtype_bytes
-        flops = 0.0
-        act_bytes = 0.0
-        kernels = 0
-        for idx, ctx in enumerate(contexts):
-            heads = full_heads if heads_per_request is None else heads_per_request[idx]
+        if heads_per_request is None:
+            heads_per_request = [self.model.num_heads] * len(contexts)
+        gqa = self.model.gqa_ratio
+        head_ctx = group_ctx = head_sum = n = 0
+        for ctx, heads in zip(contexts, heads_per_request):
             if heads <= 0 or ctx == 0:
                 continue
-            flops += heads * ctx * (4.0 * head_dim + 1.0)
-            kv_head_groups = -(-heads // gqa)  # ceil division
-            act_bytes += (
-                2.0 * ctx * kv_head_groups * head_dim * dtype_bytes
-                + 2.0 * heads * head_dim * dtype_bytes
-            )
-            kernels += 1
-        if kernels == 0:
+            head_ctx += heads * ctx
+            group_ctx += -(-heads // gqa) * ctx  # ceil(heads / r) KV heads read
+            head_sum += heads
+            n += 1
+        return self.decode_attention_cost_from_sums(head_ctx, group_ctx, head_sum, n)
+
+    def decode_attention_cost_from_sums(
+        self, head_ctx: int, group_ctx: int, heads: int, num_requests: int
+    ) -> ModuleCost:
+        """Decode attention of a batch given its sums over the working requests.
+
+        ``head_ctx`` is sum(h * ctx), ``group_ctx`` is sum(ceil(h / r) * ctx),
+        ``heads`` is sum(h) and ``num_requests`` counts the requests with
+        ``h > 0`` and ``ctx != 0``, where ``h`` is a request's query heads on
+        this device, ``ctx`` its context length and ``r`` the GQA ratio.
+        PagedAttention batches requests into a single kernel launch, so the
+        kernel count does not grow with the batch.
+
+        FLOPs and bytes equal, bit for bit, the per-request terms of
+        :meth:`decode_attention_cost` accumulated one request at a time:
+        every term (``h * ctx * (4 * head_dim + 1)`` FLOPs,
+        ``2 * ctx * ceil(h / r) * head_dim * dtype_bytes`` KV bytes,
+        ``2 * h * head_dim * dtype_bytes`` I/O bytes) is an integer-valued
+        float, and while every partial sum stays below 2**53 float addition
+        of integers is exact and so independent of order.  At the default
+        256-request cap with 128k-token contexts and 64 heads the FLOP sum
+        is ~1.1e12, far below 2**53 (~9.0e15).
+        """
+        if num_requests == 0:
             return ZERO_COST
+        m = self.model
+        head_dim = m.head_dim
+        dtype_bytes = m.dtype_bytes
+        flops = head_ctx * (4.0 * head_dim + 1.0)
+        act_bytes = (
+            2.0 * group_ctx * head_dim * dtype_bytes
+            + 2.0 * heads * head_dim * dtype_bytes
+        )
         return ModuleCost(flops, 0.0, act_bytes, kernels=1)
 
     # -- whole layer ------------------------------------------------------------

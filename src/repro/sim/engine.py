@@ -115,8 +115,7 @@ class ServingSystem(abc.ABC):
         latency and how Hetis schedules hauled requests.  The default keeps
         everything local and records per-device cache utilization.
         """
-        for dev_name, util in unit.kv_utilization().items():
-            recorder.record("cache_usage", dev_name, now, util)
+        recorder.record_many("cache_usage", now, unit.kv_utilization())
         return []
 
     def available_cache_bytes(self) -> float:

@@ -74,8 +74,35 @@ class TimeSeriesRecorder:
             data[:] = kept
 
     def record_many(self, series: str, time: float, values: Dict[str, float]) -> None:
+        """Append one sample per key at a shared ``time`` (same effect as
+        :meth:`record` per item, with the series looked up once)."""
+        if not values:
+            return
+        if time < 0:
+            raise ValueError("time must be >= 0")
+        time = float(time)
+        by_key = self.samples.get(series)
+        maxima = self._max
+        arrays = self._arrays
+        cap = self.max_samples_per_key
         for key, value in values.items():
-            self.record(series, key, time, value)
+            value = float(value)
+            if by_key is None:
+                by_key = self.samples[series] = {}
+            data = by_key.get(key)
+            if data is None:
+                data = by_key[key] = []
+            data.append((time, value))
+            cache_key = (series, key)
+            prev = maxima.get(cache_key)
+            if prev is None or value > prev:
+                maxima[cache_key] = value
+            arrays.pop(cache_key, None)
+            if cap is not None and len(data) > cap:
+                kept = data[0:-1:2]
+                kept.append(data[-1])
+                self.samples_dropped += len(data) - len(kept)
+                data[:] = kept
 
     # -- queries -----------------------------------------------------------------
 
@@ -149,8 +176,8 @@ class PrefixedRecorderView:
         self._inner.record(series, self._prefix + key, time, value)
 
     def record_many(self, series: str, time: float, values: Dict[str, float]) -> None:
-        for key, value in values.items():
-            self._inner.record(series, self._prefix + key, time, value)
+        prefix = self._prefix
+        self._inner.record_many(series, time, {prefix + key: value for key, value in values.items()})
 
     def __getattr__(self, name: str):
         # Defensive passthrough: recorder methods beyond record/record_many

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.hardware.cluster import Cluster
 from repro.kvcache.block_manager import PagedBlockManager
@@ -109,6 +109,88 @@ class ExecutionUnit(abc.ABC):
         return self.num_waiting + self.num_running
 
 
+StageTerms = Tuple[int, float, float]
+"""One stage's ``(num_layers, dense, comm)``: per-layer seconds, max over shards."""
+
+TokenTerms = Tuple[Tuple[StageTerms, ...], float, float, float]
+"""``(per-stage terms, MLP module time, LM head, pipeline hand-offs)``."""
+
+
+class TokenCountPricing:
+    """Memo of the iteration-time terms that depend only on the token count.
+
+    Dense and MLP module times of each stage (max over its distinct
+    ``(GPU spec, shard fraction)`` pairs, see ``StageConfig.unique_shards``),
+    the per-layer tensor-parallel all-reduces, the LM head and the pipeline
+    hand-offs are pure functions of the fixed stage layout and
+    ``batch.total_tokens``.  Decode batches repeat token counts every
+    iteration, so each distinct count is priced once; the memo is bounded by
+    the number of distinct token counts the scheduler limits allow.
+
+    ``shard_heads`` lists, per stage, each distinct shard's GPU spec, its
+    fraction and the query heads it computes in Attention, for the callers'
+    batch-dependent Attention terms.
+    """
+
+    def __init__(
+        self,
+        config: InstanceParallelConfig,
+        model: ModelSpec,
+        executor: RooflineExecutor,
+        cost_model: LayerCostModel,
+        comm: CommModel,
+    ) -> None:
+        self.config = config
+        self.executor = executor
+        self.cost_model = cost_model
+        self.comm = comm
+        self.shard_heads = [
+            [
+                (spec, frac, max(model.gqa_ratio, int(round(model.num_heads * frac))))
+                for spec, frac in stage.unique_shards()
+            ]
+            for stage in config.stages
+        ]
+        self._memo: Dict[int, TokenTerms] = {}
+
+    def terms(self, batch: BatchProfile) -> TokenTerms:
+        """``(per-stage terms, MLP module time, LM head, pipeline hand-offs)``.
+
+        The MLP module time follows the paper's module-latency definition:
+        the slowest stage's MLP time times the number of stages.
+        """
+        tokens = batch.total_tokens
+        terms = self._memo.get(tokens)
+        if terms is None:
+            terms = self._memo[tokens] = self._price(batch, tokens)
+        return terms
+
+    def _price(self, batch: BatchProfile, tokens: int) -> TokenTerms:
+        executor = self.executor
+        stages: List[StageTerms] = []
+        max_mlp = 0.0
+        for stage, shards in zip(self.config.stages, self.shard_heads):
+            dense_t = mlp_t = 0.0
+            for spec, frac, _heads in shards:
+                dense_cost = self.cost_model.dense_cost(batch).scaled(frac)
+                mlp_cost = self.cost_model.mlp_cost(tokens).scaled(frac)
+                dense_t = max(dense_t, executor.module_time(dense_cost, spec, tokens))
+                mlp_t = max(mlp_t, executor.module_time(mlp_cost, spec, tokens))
+            comm_t = 0.0
+            if stage.tp_degree > 1:
+                comm_t = 2.0 * self.comm.tp_allreduce_time(stage.devices, tokens)
+            stages.append((stage.num_layers, dense_t, comm_t))
+            max_mlp = max(max_mlp, stage.num_layers * mlp_t)
+        last_stage = self.config.stages[-1]
+        lm_head = executor.lm_head_time(
+            last_stage.devices[0].spec, tokens, tp_degree=last_stage.tp_degree
+        )
+        handoff = 0.0
+        for prev, nxt in zip(self.config.stages[:-1], self.config.stages[1:]):
+            handoff += self.comm.pipeline_handoff_time(prev.devices[-1], nxt.devices[0], tokens)
+        return tuple(stages), max_mlp * len(self.config.stages), lm_head, handoff
+
+
 class StaticPipelineUnit(ExecutionUnit):
     """Pipeline-parallel, (asymmetric) tensor-parallel execution unit.
 
@@ -171,13 +253,12 @@ class StaticPipelineUnit(ExecutionUnit):
         self._device_blocks = [(name, m.total_blocks) for name, m in managers]
         self._ledger = min((m for _, m in managers), key=lambda m: m.total_blocks)
 
-        # Per-stage (spec, fraction) de-duplication for timing (see
-        # StageConfig.unique_shards).
-        self._stage_unique_shards = [stage.unique_shards() for stage in config.stages]
+        self._pricing = TokenCountPricing(config, model, self.executor, self.cost_model, self.comm)
 
         self.waiting: Deque[Request] = deque()
         self.pending_prefilled: Deque[Request] = deque()
-        self.running: List[Request] = []
+        # Insertion-ordered set (admission order): O(1) membership and removal.
+        self.running: Dict[Request, None] = {}
         self.dropped: List[Request] = []
 
     # -- ingress -----------------------------------------------------------------------
@@ -247,8 +328,7 @@ class StaticPipelineUnit(ExecutionUnit):
         """Drop the victim's cache and send it back for re-prefill (LIFO policy)."""
         self._free(victim)
         victim.preempt()
-        if victim in self.running:
-            self.running.remove(victim)
+        self.running.pop(victim, None)
         if victim not in self.waiting:
             # A partially-prefilled victim is still sitting in the waiting
             # queue; do not enqueue it a second time.
@@ -260,15 +340,17 @@ class StaticPipelineUnit(ExecutionUnit):
         Returns False when the request itself had to be preempted.
         """
         while not self._ledger.can_append(request.request_id):
-            victims = [r for r in self.running if r.status == RequestStatus.DECODING]
-            if not victims:
-                return False
-            victim = victims[-1]
-            if victim is request and len(victims) == 1:
-                self._preempt(request)
+            # The most recently admitted decoding request other than
+            # ``request`` is the victim; ``request`` itself only when alone.
+            victims = (r for r in reversed(self.running) if r.status == RequestStatus.DECODING)
+            victim = next(victims, None)
+            if victim is None:
                 return False
             if victim is request:
-                victim = victims[-2]
+                victim = next(victims, None)
+                if victim is None:
+                    self._preempt(request)
+                    return False
             self._preempt(victim)
         return True
 
@@ -314,7 +396,7 @@ class StaticPipelineUnit(ExecutionUnit):
             self.pending_prefilled.popleft()
             ledger.allocate(candidate.request_id, candidate.context_length)
             candidate.status = RequestStatus.DECODING
-            self.running.append(candidate)
+            self.running[candidate] = None
             decode_requests.append(candidate)
 
         # 3. Admit new prefill work -- whole prefills, or chunks of them when
@@ -339,7 +421,7 @@ class StaticPipelineUnit(ExecutionUnit):
                     ledger.allocate(req.request_id, req.prefill_target)
                     req.start_prefill()
                 if chunk.completes_prefill:
-                    self.running.append(req)
+                    self.running[req] = None
                     prefill_requests.append(req)
                 else:
                     partial_prefills.append(chunk)
@@ -375,71 +457,44 @@ class StaticPipelineUnit(ExecutionUnit):
 
     # -- timing -----------------------------------------------------------------------------
 
-    def _stage_times(self, stage_idx: int, batch: BatchProfile) -> Dict[str, float]:
-        """Per-layer module times of one stage (max over its TP shard devices).
-
-        Iterates the stage's distinct ``(GPU spec, shard fraction)`` pairs
-        instead of every device: identical shards on identical GPUs produce
-        identical times, so the max over the de-duplicated set is the same
-        value at a fraction of the cost (paper-cluster stages are typically
-        4-way symmetric TP).
-        """
-        stage = self.config.stages[stage_idx]
-        tokens = batch.total_tokens
-        dense_t = mlp_t = attn_t = 0.0
-        n_decode = len(batch.decode_contexts)
-        for spec, frac in self._stage_unique_shards[stage_idx]:
-            heads = max(self.model.gqa_ratio, int(round(self.model.num_heads * frac)))
-            dense_cost = self.cost_model.dense_cost(batch).scaled(frac)
-            mlp_cost = self.cost_model.mlp_cost(tokens).scaled(frac)
-            pre_attn = self.cost_model.prefill_attention_batch_cost(batch, heads)
-            dec_attn = self.cost_model.decode_attention_batch_cost(
-                batch.decode_contexts, [heads] * n_decode
-            )
-            dense_t = max(dense_t, self.executor.module_time(dense_cost, spec, tokens))
-            mlp_t = max(mlp_t, self.executor.module_time(mlp_cost, spec, tokens))
-            attn_t = max(
-                attn_t,
-                self.executor.attention_module_time(pre_attn, spec)
-                + self.executor.attention_module_time(dec_attn, spec),
-            )
-        comm_t = 0.0
-        if stage.tp_degree > 1:
-            comm_t = 2.0 * self.comm.tp_allreduce_time(stage.devices, tokens)
-        return {"dense": dense_t, "mlp": mlp_t, "attention": attn_t, "comm": comm_t}
-
     def _iteration_time(self, batch: BatchProfile) -> tuple[float, Dict[str, float]]:
         """Total iteration duration plus the module-latency metrics.
 
         The duration is the latency of the batch traversing the full pipeline
         (sum of stage times plus hidden-state hand-offs); the module metrics
         follow the paper's definition (max per-stage module time multiplied by
-        the number of stages, reflecting pipeline bubbles).
+        the number of stages, reflecting pipeline bubbles).  Each stage's
+        Attention time is the max over its distinct TP shards; decode
+        Attention is priced from the batch's context sum, taken once.
         """
-        tokens = batch.total_tokens
-        n_stages = len(self.config.stages)
-        stage_totals: List[float] = []
-        max_mlp = max_attn = 0.0
-        for stage_idx, stage in enumerate(self.config.stages):
-            per_layer = self._stage_times(stage_idx, batch)
-            stage_total = stage.num_layers * (
-                per_layer["dense"] + per_layer["attention"] + per_layer["comm"]
-            )
-            stage_totals.append(stage_total)
-            max_mlp = max(max_mlp, stage.num_layers * per_layer["mlp"])
-            max_attn = max(max_attn, stage.num_layers * per_layer["attention"])
-        # LM head on the last stage.
-        last_stage = self.config.stages[-1]
-        lm_head = self.executor.lm_head_time(
-            last_stage.devices[0].spec, tokens, tp_degree=last_stage.tp_degree
-        )
-        handoff = 0.0
-        for prev, nxt in zip(self.config.stages[:-1], self.config.stages[1:]):
-            handoff += self.comm.pipeline_handoff_time(prev.devices[-1], nxt.devices[0], tokens)
-        duration = sum(stage_totals) + lm_head + handoff
+        stages, mlp_time, lm_head, handoff = self._pricing.terms(batch)
+        executor = self.executor
+        cost_model = self.cost_model
+        has_prefill = bool(batch.prefill_lengths)
+        # BatchProfile rejects non-positive contexts, so every decode request
+        # does work on every shard (each computes at least ``gqa_ratio`` heads).
+        n_decode = len(batch.decode_contexts)
+        ctx_sum = sum(batch.decode_contexts)
+        gqa = self.model.gqa_ratio
+        total = 0.0
+        max_attn = 0.0
+        for (num_layers, dense_t, comm_t), shards in zip(stages, self._pricing.shard_heads):
+            attn_t = 0.0
+            for spec, _frac, heads in shards:
+                dec_attn = cost_model.decode_attention_cost_from_sums(
+                    heads * ctx_sum, -(-heads // gqa) * ctx_sum, heads * n_decode, n_decode
+                )
+                shard_t = executor.attention_module_time(dec_attn, spec)
+                if has_prefill:
+                    pre_attn = cost_model.prefill_attention_batch_cost(batch, heads)
+                    shard_t += executor.attention_module_time(pre_attn, spec)
+                attn_t = max(attn_t, shard_t)
+            total += num_layers * (dense_t + attn_t + comm_t)
+            max_attn = max(max_attn, num_layers * attn_t)
+        duration = total + lm_head + handoff
         module_times = {
-            "mlp": max_mlp * n_stages,
-            "attention": max_attn * n_stages,
+            "mlp": mlp_time,
+            "attention": max_attn * len(stages),
             "iteration": duration,
         }
         return duration, module_times
@@ -468,7 +523,7 @@ class StaticPipelineUnit(ExecutionUnit):
                 req.add_decode_token(now)
             if req.is_finished:
                 self._free(req)
-                self.running.remove(req)
+                del self.running[req]
                 outcome.finished.append(req)
         for chunk in iteration.partial_prefills:
             # A non-final chunk only advances prefill progress; the request is
@@ -482,14 +537,14 @@ class StaticPipelineUnit(ExecutionUnit):
             if self.mode == "prefill":
                 kv_bytes = req.context_length * self.model.kv_bytes_per_token()
                 self._free(req)
-                self.running.remove(req)
+                del self.running[req]
                 req.begin_migration()
                 outcome.handoffs.append(Handoff(request=req, kv_bytes=kv_bytes))
                 continue
             req.complete_prefill(now)
             if req.is_finished:
                 self._free(req)
-                self.running.remove(req)
+                del self.running[req]
                 outcome.finished.append(req)
         return outcome
 

@@ -136,3 +136,42 @@ class TestBoundedRecorder:
     def test_invalid_cap_rejected(self):
         with pytest.raises(ValueError):
             TimeSeriesRecorder(max_samples_per_key=1)
+
+
+class TestRecordManyMatchesRecord:
+    """``record_many`` must leave a recorder exactly as ``record`` per item."""
+
+    @staticmethod
+    def state(rec: TimeSeriesRecorder):
+        return rec.samples, rec._max, rec.samples_dropped
+
+    @pytest.mark.parametrize("cap", [None, 4])
+    def test_same_state_as_per_key_record(self, cap):
+        many = TimeSeriesRecorder(max_samples_per_key=cap)
+        single = TimeSeriesRecorder(max_samples_per_key=cap)
+        for step in range(20):
+            values = {f"dev{k}": (step * 7 + k * 3) % 11 for k in range(3 + step % 2)}
+            values["int"] = step  # ints are stored as floats either way
+            for rec in (many, single):
+                rec.resample("s", "dev0", [0.0, 5.0])  # cache arrays, then invalidate
+            many.record_many("s", step, values)
+            for key, value in values.items():
+                single.record("s", key, step, value)
+            assert self.state(many) == self.state(single)
+            assert repr(self.state(many)) == repr(self.state(single))
+            assert np.array_equal(many.resample("s", "dev0", [0.0, 5.0, 19.0]),
+                                  single.resample("s", "dev0", [0.0, 5.0, 19.0]))
+
+    def test_negative_time_rejected_only_with_values(self):
+        rec = TimeSeriesRecorder()
+        rec.record_many("s", -1.0, {})
+        assert rec.series_names() == []
+        with pytest.raises(ValueError):
+            rec.record_many("s", -1.0, {"k": 1.0})
+
+    def test_nested_views_prefix_every_key(self):
+        rec = TimeSeriesRecorder()
+        view = PrefixedRecorderView(PrefixedRecorderView(rec, "outer/"), "inner/")
+        view.record_many("s", 1.0, {"a": 1.0, "b": 2.0})
+        assert rec.raw("s", "outer/inner/a") == [(1.0, 1.0)]
+        assert rec.raw("s", "outer/inner/b") == [(1.0, 2.0)]
